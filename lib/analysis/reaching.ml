@@ -20,8 +20,11 @@ module L = struct
 
   let name = "reaching-defs"
   let bottom = IS.empty
-  let equal = IS.equal
-  let join = IS.union
+  let equal a b = a == b || IS.equal a b
+
+  (* A subset joins to the superset itself: no new tree, and the
+     solver's [leq] check ([equal (join a b) b]) hits [==]. *)
+  let join a b = if IS.subset a b then b else IS.union a b
   let widen = IS.union
 end
 

@@ -14,6 +14,12 @@ type t
 
 val analyze : Cfg.t -> t
 
+module IS : Set.S with type elt = int
+
+module L : Dataflow.LATTICE with type fact = IS.t
+(** The solver's lattice: sets of definition ids under union. [L.join a
+    b] is [b] itself when [a] is a subset of it. *)
+
 val entry_pc : int
 (** The pseudo-pc ([-1]) of the initial-state definition of each register. *)
 

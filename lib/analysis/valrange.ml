@@ -24,14 +24,23 @@ let join_value a b =
       | Some (l1, h1), Some (l2, h2) -> norm (min l1 l2) (max h1 h2)
       | _ -> Top)
 
+(* Matched field by field (no [bounds] options) so the solver's
+   pointwise [join] shortcut allocates nothing. *)
 let leq_value a b =
   match (a, b) with
   | Bot, _ | _, Top -> true
   | _, Bot | Top, _ -> false
-  | _ -> (
-      match (bounds a, bounds b) with
-      | Some (l1, h1), Some (l2, h2) -> l2 <= l1 && h1 <= h2
-      | _ -> false)
+  | Const x, Const y -> x = y
+  | Const x, Range (l2, h2) -> l2 <= x && x <= h2
+  | Range (l1, h1), Const y -> y <= l1 && h1 <= y
+  | Range (l1, h1), Range (l2, h2) -> l2 <= l1 && h1 <= h2
+
+let equal_value a b =
+  match (a, b) with
+  | Bot, Bot | Top, Top -> true
+  | Const x, Const y -> x = y
+  | Range (l1, h1), Range (l2, h2) -> l1 = l2 && h1 = h2
+  | (Bot | Top | Const _ | Range _), _ -> false
 
 let widen_value old v = if leq_value v old then old else Top
 
@@ -48,17 +57,25 @@ module L = struct
 
   let name = "value-range"
   let bottom = [||] (* distinguished: every register Bot *)
-  let expand f = if f = [||] then Array.make Reg.count Bot else f
-  let equal a b = a == b || (a <> [||] && b <> [||] && Array.for_all2 ( = ) a b)
+  let is_bottom f = Array.length f = 0
+  let expand f = if is_bottom f then Array.make Reg.count Bot else f
 
+  let equal a b =
+    a == b || ((not (is_bottom a)) && (not (is_bottom b)) && Array.for_all2 equal_value a b)
+
+  (* [a] pointwise below [b] means [join a b] is [b] itself: return it
+     without allocating, which makes the solver's [leq] check
+     ([equal (join a b) b]) a physical-equality hit. Facts are never
+     mutated once built, so sharing the array is safe. *)
   let join a b =
-    if a = [||] then b
-    else if b = [||] then a
+    if a == b || is_bottom a then b
+    else if is_bottom b then a
+    else if Array.for_all2 leq_value a b then b
     else Array.init Reg.count (fun r -> join_value a.(r) b.(r))
 
   let widen a b =
-    if a = [||] then b
-    else if b = [||] then a
+    if is_bottom a then b
+    else if is_bottom b then a
     else Array.init Reg.count (fun r -> widen_value a.(r) b.(r))
 end
 
@@ -212,6 +229,7 @@ let analyze cfg =
   }
 
 let tainted t = t.tainted
+let facts t = (t.input, t.output)
 
 let value_at t ~pc reg =
   if t.tainted then Top

@@ -42,6 +42,18 @@ val value_into : t -> block:int -> from:int list -> Reg.t -> value
     value is the boundary fact if [block] is the CFG entry, else [Bot]
     (no such edge). *)
 
+(** {2 The solver's lattice and facts} *)
+
+module L : Dataflow.LATTICE with type fact = value array
+(** One value per logical register; [L.bottom] is [[||]], standing for
+    every register [Bot]. [L.join a b] returns [b] itself when [a] is
+    pointwise below it, so solved facts share arrays between blocks and
+    no client may mutate a fact in place. *)
+
+val facts : t -> value array array * value array array
+(** The solved per-block entry and exit facts, shared with [t], not
+    copied: read-only. *)
+
 val const : value -> int option
 val bounds : value -> (int * int) option
 (** [Const c] is [(c, c)]; [Bot]/[Top] are [None]. *)

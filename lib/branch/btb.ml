@@ -1,11 +1,14 @@
 open Riq_util
 
-type entry = { mutable tag : int; mutable target : int; mutable valid : bool; mutable lru : int }
-
+(* Flat tables: [keys] holds two words per entry, row-major by set — the
+   tag (-1 when invalid; real tags are non-negative since [pc lsr 2] is)
+   and the target. The LRU stamps live in their own array so the
+   fast-forward snapshot of them is a single blit. *)
 type t = {
   sets : int;
   ways : int;
-  table : entry array;
+  keys : int array; (* 2 * sets * ways *)
+  lru : int array; (* sets * ways *)
   mutable clock : int;
   mutable n_lookup : int;
   mutable n_hit : int;
@@ -19,8 +22,8 @@ let create ~sets ~ways =
   {
     sets;
     ways;
-    table =
-      Array.init (sets * ways) (fun _ -> { tag = 0; target = 0; valid = false; lru = 0 });
+    keys = Array.make (2 * sets * ways) (-1);
+    lru = Array.make (sets * ways) 0;
     clock = 0;
     n_lookup = 0;
     n_hit = 0;
@@ -28,30 +31,26 @@ let create ~sets ~ways =
     version = 0;
   }
 
-(* Table index of the matching way, or -1: the hot path stays free of
+(* Entry index of the matching way, or -1: the hot path stays free of
    option and tuple allocations. *)
 let find_idx t ~pc =
   let idx = pc lsr 2 in
-  let set = idx land (t.sets - 1) in
   let tag = idx / t.sets in
-  let base = set * t.ways in
-  let rec go w last =
-    if w = t.ways then last
-    else
-      let e = t.table.(base + w) in
-      go (w + 1) (if e.valid && e.tag = tag then base + w else last)
-  in
-  go 0 (-1)
+  let base = (idx land (t.sets - 1)) * t.ways in
+  let w = ref 0 in
+  while !w < t.ways && Array.unsafe_get t.keys (2 * (base + !w)) <> tag do
+    incr w
+  done;
+  if !w < t.ways then base + !w else -1
 
 let lookup_target t ~pc =
   t.n_lookup <- t.n_lookup + 1;
   t.clock <- t.clock + 1;
   let i = find_idx t ~pc in
   if i >= 0 then begin
-    let e = t.table.(i) in
     t.n_hit <- t.n_hit + 1;
-    e.lru <- t.clock;
-    e.target
+    t.lru.(i) <- t.clock;
+    t.keys.((2 * i) + 1)
   end
   else -1
 
@@ -64,30 +63,27 @@ let update t ~pc ~target =
   t.clock <- t.clock + 1;
   let i = find_idx t ~pc in
   if i >= 0 then begin
-    let e = t.table.(i) in
-    if e.target <> target then begin
-      e.target <- target;
+    if t.keys.((2 * i) + 1) <> target then begin
+      t.keys.((2 * i) + 1) <- target;
       t.version <- t.version + 1
     end;
-    e.lru <- t.clock
+    t.lru.(i) <- t.clock
   end
   else begin
     let idx = pc lsr 2 in
-    let set = idx land (t.sets - 1) in
-    let tag = idx / t.sets in
-    let base = set * t.ways in
-    let victim = ref t.table.(base) in
-    for w = 1 to t.ways - 1 do
-      let e = t.table.(base + w) in
-      let v = !victim in
-      if (not e.valid) && v.valid then victim := e
-      else if v.valid && e.valid && e.lru < v.lru then victim := e
+    let base = (idx land (t.sets - 1)) * t.ways in
+    (* Victim: the first invalid way if any, else true LRU. *)
+    let v = ref base in
+    let w = ref 1 in
+    while t.keys.(2 * !v) >= 0 && !w < t.ways do
+      let e = base + !w in
+      if t.keys.(2 * e) < 0 || t.lru.(e) < t.lru.(!v) then v := e;
+      incr w
     done;
-    let v = !victim in
-    v.tag <- tag;
-    v.target <- target;
-    v.valid <- true;
-    v.lru <- t.clock;
+    let v = !v in
+    t.keys.(2 * v) <- idx / t.sets;
+    t.keys.((2 * v) + 1) <- target;
+    t.lru.(v) <- t.clock;
     t.version <- t.version + 1
   end
 
@@ -101,27 +97,21 @@ let update t ~pc ~target =
    observed per-iteration stride. *)
 
 let version t = t.version
+let ffwd_affine_len t = 4 + Array.length t.lru
 
-let ffwd_affine t =
-  let n = Array.length t.table in
-  let a = Array.make (4 + n) 0 in
-  a.(0) <- t.clock;
-  a.(1) <- t.n_lookup;
-  a.(2) <- t.n_hit;
-  a.(3) <- t.n_update;
-  for i = 0 to n - 1 do
-    a.(4 + i) <- t.table.(i).lru
-  done;
-  a
+let ffwd_affine t a ~pos =
+  a.(pos) <- t.clock;
+  a.(pos + 1) <- t.n_lookup;
+  a.(pos + 2) <- t.n_hit;
+  a.(pos + 3) <- t.n_update;
+  Array.blit t.lru 0 a (pos + 4) (Array.length t.lru)
 
-let ffwd_set_affine t a =
-  t.clock <- a.(0);
-  t.n_lookup <- a.(1);
-  t.n_hit <- a.(2);
-  t.n_update <- a.(3);
-  for i = 0 to Array.length t.table - 1 do
-    t.table.(i).lru <- a.(4 + i)
-  done
+let ffwd_set_affine t a ~pos =
+  t.clock <- a.(pos);
+  t.n_lookup <- a.(pos + 1);
+  t.n_hit <- a.(pos + 2);
+  t.n_update <- a.(pos + 3);
+  Array.blit a (pos + 4) t.lru 0 (Array.length t.lru)
 
 let lookups t = t.n_lookup
 let hits t = t.n_hit

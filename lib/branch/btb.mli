@@ -26,8 +26,13 @@ val version : t -> int
     is a no-op). Equal readings prove the stored targets did not change
     in between. *)
 
-val ffwd_affine : t -> int array
-(** Clock, access counters and per-entry LRU stamps — values that advance
-    by a constant stride per steady-state iteration. *)
+val ffwd_affine_len : t -> int
+(** Length of the {!ffwd_affine} block. *)
 
-val ffwd_set_affine : t -> int array -> unit
+val ffwd_affine : t -> int array -> pos:int -> unit
+(** Write the clock, access counters and per-entry LRU stamps — values
+    that advance by a constant stride per steady-state iteration — into
+    [a.(pos)] onwards ({!ffwd_affine_len} words). *)
+
+val ffwd_set_affine : t -> int array -> pos:int -> unit
+(** Restore what {!ffwd_affine} wrote at [pos]. *)

@@ -146,19 +146,17 @@ let ffwd_version t =
   | Dir_gshare g -> Gshare.version g)
   + Btb.version t.btb + Ras.version t.ras
 
-let ffwd_affine t =
-  let btb = Btb.ffwd_affine t.btb in
-  let n = Array.length btb in
-  let a = Array.make (2 + n) 0 in
-  a.(0) <- t.n_dir_lookup;
-  a.(1) <- t.n_dir_update;
-  Array.blit btb 0 a 2 n;
-  a
+let ffwd_affine_len t = 2 + Btb.ffwd_affine_len t.btb
 
-let ffwd_set_affine t a =
-  t.n_dir_lookup <- a.(0);
-  t.n_dir_update <- a.(1);
-  Btb.ffwd_set_affine t.btb (Array.sub a 2 (Array.length a - 2))
+let ffwd_affine t a ~pos =
+  a.(pos) <- t.n_dir_lookup;
+  a.(pos + 1) <- t.n_dir_update;
+  Btb.ffwd_affine t.btb a ~pos:(pos + 2)
+
+let ffwd_set_affine t a ~pos =
+  t.n_dir_lookup <- a.(pos);
+  t.n_dir_update <- a.(pos + 1);
+  Btb.ffwd_set_affine t.btb a ~pos:(pos + 2)
 
 type checkpoint = int
 

@@ -79,10 +79,15 @@ val ffwd_version : t -> int
     the tables were bit-identical throughout the interval — an O(1),
     strictly conservative stand-in for hashing the tables. *)
 
-val ffwd_affine : t -> int array
-(** Access counters, BTB clock and per-entry LRU stamps. *)
+val ffwd_affine_len : t -> int
+(** Length of the {!ffwd_affine} block. *)
 
-val ffwd_set_affine : t -> int array -> unit
+val ffwd_affine : t -> int array -> pos:int -> unit
+(** Write the access counters, BTB clock and per-entry LRU stamps into
+    [a.(pos)] onwards ({!ffwd_affine_len} words). *)
+
+val ffwd_set_affine : t -> int array -> pos:int -> unit
+(** Restore what {!ffwd_affine} wrote at [pos]. *)
 
 (** {2 Access statistics (power model inputs)} *)
 

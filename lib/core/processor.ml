@@ -75,6 +75,9 @@ let wheel_mask = wheel_size - 1
 let ev_complete = 0
 let ev_agen = 1
 
+(* Initial per-slot capacity of the flat event wheel. *)
+let ev_cap0 = 8
+
 (* Why a buffering attempt was revoked, one constructor per revoke site.
    The static side (Riq_analysis.Bufferability) predicts these; keeping
    per-cause counters is what lets the oracle cross-check prediction
@@ -139,16 +142,20 @@ let dc_ways = 16
 type ivec = { mutable iv : int array; mutable ivn : int }
 type fvec = { mutable fv : float array; mutable fvn : int }
 
-let iv_make () = { iv = Array.make 256 0; ivn = 0 }
+(* Vectors start empty: most controllers never fill most of them, so
+   storage is allocated on first push. *)
+let iv_make () = { iv = [||]; ivn = 0 }
 let iv_clear v = v.ivn <- 0
 
+let iv_grow v =
+  let b = Array.make (max 64 (2 * v.ivn)) 0 in
+  Array.blit v.iv 0 b 0 v.ivn;
+  v.iv <- b
+
+(* Small enough to inline: snapshots push a few thousand words each. *)
 let iv_push v x =
-  (if v.ivn = Array.length v.iv then begin
-     let b = Array.make (2 * v.ivn) 0 in
-     Array.blit v.iv 0 b 0 v.ivn;
-     v.iv <- b
-   end);
-  v.iv.(v.ivn) <- x;
+  if v.ivn = Array.length v.iv then iv_grow v;
+  Array.unsafe_set v.iv v.ivn x;
   v.ivn <- v.ivn + 1
 
 let iv_equal a b =
@@ -162,17 +169,12 @@ let iv_equal a b =
   done;
   !ok
 
-let iv_copy_into dst src =
-  if Array.length dst.iv < src.ivn then dst.iv <- Array.make (Array.length src.iv) 0;
-  Array.blit src.iv 0 dst.iv 0 src.ivn;
-  dst.ivn <- src.ivn
-
-let fv_make () = { fv = Array.make 256 0.; fvn = 0 }
+let fv_make () = { fv = [||]; fvn = 0 }
 let fv_clear v = v.fvn <- 0
 
 let fv_append v src n =
   (if v.fvn + n > Array.length v.fv then begin
-     let cap = ref (2 * Array.length v.fv) in
+     let cap = ref (max 64 (2 * Array.length v.fv)) in
      while !cap < v.fvn + n do
        cap := 2 * !cap
      done;
@@ -195,7 +197,17 @@ let fv_append v src n =
    iterations). The search mode keeps a short history of boundary
    snapshots and picks the smallest boundary distance at which the
    snapshot recurs; everything downstream then works in units of that
-   super-period. *)
+   super-period.
+
+   Snapshots are dear (the whole ROB/IQ/LSQ/wheel) and most loops never
+   settle, so the search pays as it goes: an admission gate first
+   watches a one-word signature of each boundary — the (cycle, commit,
+   sequence) deltas since the previous one and the queue occupancies —
+   and a snapshot is taken only while, for some k <= [ff_hist_len],
+   each of the last k + 1 signatures equals the one k boundaries before
+   it. A machine-state period of k boundaries repeats those words with
+   period k, so the gate never shuts out a loop the search could lock
+   onto; it only delays the search by about one period. *)
 type ffwd = {
   ff_k : int; (* periods to verify before replaying *)
   mutable ff_mode : int;
@@ -204,7 +216,18 @@ type ffwd = {
   mutable ff_bcount : int; (* boundaries since the last super-boundary *)
   ff_hist : ivec array; (* search mode: recent boundary snapshots *)
   ff_hist_pred : int array;
-  mutable ff_hist_n : int; (* boundaries recorded by the search *)
+  mutable ff_hist_n : int; (* consecutive boundaries in [ff_hist] *)
+  mutable ff_snaps : int; (* snapshots taken by this search *)
+  (* Admission gate: ring of boundary signatures, and per candidate
+     period k (index 1..ff_hist_len) the number of consecutive
+     boundaries whose signature equals the one k boundaries earlier. *)
+  ff_sig : int array;
+  ff_sig_run : int array;
+  mutable ff_sig_n : int; (* signatures recorded since the gate reset *)
+  mutable ff_gate_open : bool;
+  mutable ff_b_now : int; (* previous boundary's cycle, commits, seq *)
+  mutable ff_b_com : int;
+  mutable ff_b_seq : int;
   (* Cumulative snapshot work spent per loop (keyed by head/tail)
      without a successful replay. A loop that keeps rejecting — or whose
      episodes are too short to ever reach a replay — would otherwise
@@ -243,9 +266,16 @@ type ffwd = {
      exactly) and monotonic counters (per-period delta must repeat). *)
   mutable ff_rigid_prev : ivec;
   mutable ff_rigid_cur : ivec;
+  ff_lids : int array; (* snapshot scratch, one per LSQ entry *)
+  ff_lrank : int array;
   mutable ff_pred_prev : int;
+  (* Affine snapshots, swap-buffered, and the verified per-period delta;
+     all three share one layout ([ff_affine_capture]). [ff_loops] is the
+     loop log sorted by tail, the layout's per-loop block. *)
+  mutable ff_loops : loop_decision array;
   mutable ff_aff_prev : int array;
-  mutable ff_adiff : int array; (* [||] until the first delta is seen *)
+  mutable ff_aff_cur : int array;
+  mutable ff_adiff : int array;
   mutable ff_mem_prev : int array; (* last period's address column *)
   mutable ff_mem_stride : int array; (* [||] until set at period 3 *)
 }
@@ -254,8 +284,9 @@ type ffwd = {
    boundaries it may examine before concluding the loop has none. *)
 let ff_hist_len = 32
 let ff_search_budget = 128
+let ff_sig_mask = 63 (* signature ring: > ff_hist_len entries *)
 
-let ff_create k =
+let ff_create ~k ~lsq =
   {
     ff_k = k;
     ff_mode = 0;
@@ -265,6 +296,14 @@ let ff_create k =
     ff_hist = Array.init ff_hist_len (fun _ -> iv_make ());
     ff_hist_pred = Array.make ff_hist_len 0;
     ff_hist_n = 0;
+    ff_snaps = 0;
+    ff_sig = Array.make (ff_sig_mask + 1) 0;
+    ff_sig_run = Array.make (ff_hist_len + 1) 0;
+    ff_sig_n = 0;
+    ff_gate_open = false;
+    ff_b_now = 0;
+    ff_b_com = 0;
+    ff_b_seq = 0;
     ff_work = Hashtbl.create 16;
     ff_cur_work = ref 0;
     ff_boundary = false;
@@ -285,8 +324,12 @@ let ff_create k =
     ff_cur_dsp = iv_make ();
     ff_rigid_prev = iv_make ();
     ff_rigid_cur = iv_make ();
+    ff_lids = Array.make lsq 0;
+    ff_lrank = Array.make lsq 0;
     ff_pred_prev = 0;
+    ff_loops = [||];
     ff_aff_prev = [||];
+    ff_aff_cur = [||];
     ff_adiff = [||];
     ff_mem_prev = [||];
     ff_mem_stride = [||];
@@ -321,15 +364,18 @@ type t = {
   decode_latch : ring;
   mutable now : int;
   mutable seq_ctr : int;
-  (* Event wheel, struct-of-arrays per slot; [ev_n.(i)] live events. *)
+  (* Event wheel, one flat array per field: slot [sl]'s events sit at
+     [sl * ev_cap] onwards, [ev_n.(sl)] of them. All slots grow together
+     (rarely: [ev_cap] starts above a typical cycle's writebacks). *)
   ev_n : int array;
-  ev_seq : int array array;
-  ev_rob : int array array;
-  ev_kind : int array array;
-  ev_addr : int array array;
-  ev_di : int array array;
-  ev_dtag : int array array;
-  ev_df : float array array;
+  mutable ev_cap : int;
+  mutable ev_seq : int array;
+  mutable ev_rob : int array;
+  mutable ev_kind : int array;
+  mutable ev_addr : int array;
+  mutable ev_di : int array;
+  mutable ev_dtag : int array;
+  mutable ev_df : float array;
   mutable ev_ord : int array; (* drain-order scratch *)
   (* Replay FIFO: arrival-ordered parallel arrays, swap-buffered. *)
   mutable rp_n : int;
@@ -415,7 +461,7 @@ let create ?tracer ?sampler cfg program =
       cfg.Config.loop_ffwd && cfg.Config.reuse_enabled
       && cfg.Config.loop_cache_entries = 0
       && not (Tracer.enabled tracer)
-    then Some (ff_create cfg.Config.ffwd_verify_periods)
+    then Some (ff_create ~k:cfg.Config.ffwd_verify_periods ~lsq:cfg.Config.lsq_entries)
     else None
   in
   {
@@ -449,13 +495,14 @@ let create ?tracer ?sampler cfg program =
     now = 0;
     seq_ctr = 0;
     ev_n = Array.make wheel_size 0;
-    ev_seq = Array.init wheel_size (fun _ -> Array.make 8 0);
-    ev_rob = Array.init wheel_size (fun _ -> Array.make 8 0);
-    ev_kind = Array.init wheel_size (fun _ -> Array.make 8 0);
-    ev_addr = Array.init wheel_size (fun _ -> Array.make 8 0);
-    ev_di = Array.init wheel_size (fun _ -> Array.make 8 0);
-    ev_dtag = Array.init wheel_size (fun _ -> Array.make 8 0);
-    ev_df = Array.init wheel_size (fun _ -> Array.make 8 0.);
+    ev_cap = ev_cap0;
+    ev_seq = Array.make (wheel_size * ev_cap0) 0;
+    ev_rob = Array.make (wheel_size * ev_cap0) 0;
+    ev_kind = Array.make (wheel_size * ev_cap0) 0;
+    ev_addr = Array.make (wheel_size * ev_cap0) 0;
+    ev_di = Array.make (wheel_size * ev_cap0) 0;
+    ev_dtag = Array.make (wheel_size * ev_cap0) 0;
+    ev_df = Array.make (wheel_size * ev_cap0) 0.;
     ev_ord = Array.make 16 0;
     rp_n = 0;
     rp_seq = Array.make 16 0;
@@ -525,34 +572,41 @@ let loop_record t ~head ~tail =
 let charge t c n = Account.add t.acct c n
 let charge1 t c = Account.add t.acct c 1.
 
+(* Double every slot's capacity. A drain in progress keeps reading the
+   arrays it captured: they still hold its slot, and only the new arrays
+   are written from here on. *)
+let ev_grow t =
+  let cap = t.ev_cap in
+  let grow a =
+    let b = Array.make (2 * Array.length a) a.(0) in
+    for sl = 0 to wheel_size - 1 do
+      Array.blit a (sl * cap) b (sl * 2 * cap) cap
+    done;
+    b
+  in
+  t.ev_seq <- grow t.ev_seq;
+  t.ev_rob <- grow t.ev_rob;
+  t.ev_kind <- grow t.ev_kind;
+  t.ev_addr <- grow t.ev_addr;
+  t.ev_di <- grow t.ev_di;
+  t.ev_dtag <- grow t.ev_dtag;
+  t.ev_df <- grow t.ev_df;
+  t.ev_cap <- 2 * cap
+
 let schedule t ~cycle ~seq ~rob ~kind ~addr ~di ~df ~dtag =
   if cycle <= t.now || cycle - t.now >= wheel_size then
     failwith "Processor.schedule: event outside the wheel horizon";
   let sl = cycle land wheel_mask in
   let n = t.ev_n.(sl) in
-  if n = Array.length t.ev_seq.(sl) then begin
-    let grow a =
-      let b = Array.make (2 * n) 0 in
-      Array.blit a 0 b 0 n;
-      b
-    in
-    t.ev_seq.(sl) <- grow t.ev_seq.(sl);
-    t.ev_rob.(sl) <- grow t.ev_rob.(sl);
-    t.ev_kind.(sl) <- grow t.ev_kind.(sl);
-    t.ev_addr.(sl) <- grow t.ev_addr.(sl);
-    t.ev_di.(sl) <- grow t.ev_di.(sl);
-    t.ev_dtag.(sl) <- grow t.ev_dtag.(sl);
-    let bf = Array.make (2 * n) 0. in
-    Array.blit t.ev_df.(sl) 0 bf 0 n;
-    t.ev_df.(sl) <- bf
-  end;
-  t.ev_seq.(sl).(n) <- seq;
-  t.ev_rob.(sl).(n) <- rob;
-  t.ev_kind.(sl).(n) <- kind;
-  t.ev_addr.(sl).(n) <- addr;
-  t.ev_di.(sl).(n) <- di;
-  t.ev_dtag.(sl).(n) <- dtag;
-  t.ev_df.(sl).(n) <- df;
+  if n = t.ev_cap then ev_grow t;
+  let i = (sl * t.ev_cap) + n in
+  t.ev_seq.(i) <- seq;
+  t.ev_rob.(i) <- rob;
+  t.ev_kind.(i) <- kind;
+  t.ev_addr.(i) <- addr;
+  t.ev_di.(i) <- di;
+  t.ev_dtag.(i) <- dtag;
+  t.ev_df.(i) <- df;
   t.ev_n.(sl) <- n + 1
 
 let schedule_complete t ~cycle ~seq ~rob =
@@ -617,6 +671,7 @@ let ff_reset t =
       f.ff_super <- 1;
       f.ff_bcount <- 0;
       f.ff_hist_n <- 0;
+      f.ff_snaps <- 0;
       f.ff_boundary <- false;
       f.ff_poison <- false;
       f.ff_periods <- 0
@@ -1102,17 +1157,18 @@ let writeback_stage t =
     (* Snapshot the slot: events scheduled while draining always target a
        strictly later cycle, hence a different wheel slot. *)
     t.ev_n.(sl) <- 0;
-    let seqs = t.ev_seq.(sl) in
-    let robs = t.ev_rob.(sl) in
-    let kinds = t.ev_kind.(sl) in
-    let addrs = t.ev_addr.(sl) in
-    let dis = t.ev_di.(sl) in
-    let dtags = t.ev_dtag.(sl) in
-    let dfs = t.ev_df.(sl) in
+    let seqs = t.ev_seq in
+    let robs = t.ev_rob in
+    let kinds = t.ev_kind in
+    let addrs = t.ev_addr in
+    let dis = t.ev_di in
+    let dtags = t.ev_dtag in
+    let dfs = t.ev_df in
+    let base = sl * t.ev_cap in
     if Array.length t.ev_ord < n then t.ev_ord <- Array.make (2 * n) 0;
     let ord = t.ev_ord in
     for i = 0 to n - 1 do
-      ord.(i) <- i
+      ord.(i) <- base + i
     done;
     (* Drain order: sequence ascending; equal sequences in reverse
        insertion order (the seed stable-sorted a cons-built list, so the
@@ -1880,22 +1936,31 @@ let skip_to t ~target =
    invariant under the uniform relocation a replay applies. Semantic
    payloads (operand values, addresses, store data) are excluded; the
    replay recomputes and patches them at exit. *)
-let ff_rigid_vec t v =
+let ff_rigid_vec t f v =
   iv_clear v;
   let rs = Rob.size t.rob and rh = Rob.head t.rob in
-  let rrel i = if i < 0 then -1 else (i - rh + rs) mod rs in
+  let rrel i = if i < 0 then -1 else if i >= rh then i - rh else i - rh + rs in
+  (* Live LSQ entries in age (sequence) order, by insertion into the
+     scratch [lids]; [lrank] maps an entry back to its age rank. *)
   let ls = Lsq.size t.lsq in
-  let lrank = Array.make (max 1 ls) (-1) in
-  let lids = ref [] in
-  for i = ls - 1 downto 0 do
-    if (Lsq.entry t.lsq i).Lsq.live then lids := i :: !lids
+  let lids = f.ff_lids and lrank = f.ff_lrank in
+  let nl = ref 0 in
+  for i = 0 to ls - 1 do
+    lrank.(i) <- -1;
+    let le = Lsq.entry t.lsq i in
+    if le.Lsq.live then begin
+      let j = ref !nl in
+      while !j > 0 && (Lsq.entry t.lsq lids.(!j - 1)).Lsq.seq > le.Lsq.seq do
+        lids.(!j) <- lids.(!j - 1);
+        decr j
+      done;
+      lids.(!j) <- i;
+      incr nl
+    end
   done;
-  let lids =
-    List.sort
-      (fun a b -> compare (Lsq.entry t.lsq a).Lsq.seq (Lsq.entry t.lsq b).Lsq.seq)
-      !lids
-  in
-  List.iteri (fun rank i -> lrank.(i) <- rank) lids;
+  for r = 0 to !nl - 1 do
+    lrank.(lids.(r)) <- r
+  done;
   let lrel i = if i < 0 then -1 else lrank.(i) in
   let sc = t.seq_ctr in
   let b x = if x then 1 else 0 in
@@ -1915,7 +1980,7 @@ let ff_rigid_vec t v =
   iv_push v t.rp_n;
   iv_push v t.dc_hits;
   iv_push v t.dc_installs;
-  List.iter (iv_push v) (Fu.ffwd_busy_rel t.fu ~now:t.now);
+  Fu.ffwd_iter_busy_rel t.fu ~now:t.now (iv_push v);
   Array.iter (fun m -> iv_push v (rrel m)) t.map;
   iv_push v (Rob.count t.rob);
   Rob.iter_oldest_first t.rob (fun _ e ->
@@ -1965,47 +2030,48 @@ let ff_rigid_vec t v =
     iv_push v (b (s.Iq.w2_next != s))
   done;
   iv_push v (Lsq.count t.lsq);
-  List.iter
-    (fun i ->
-      let le = Lsq.entry t.lsq i in
-      iv_push v (le.Lsq.seq - sc);
-      iv_push v (rrel le.Lsq.rob_idx);
-      iv_push v (b le.Lsq.is_store);
-      iv_push v (b le.Lsq.is_fp);
-      iv_push v (b le.Lsq.addr_ready);
-      iv_push v le.Lsq.width;
-      iv_push v (b le.Lsq.data_ready);
-      iv_push v (rrel le.Lsq.data_tag))
-    lids;
+  for r = 0 to !nl - 1 do
+    let le = Lsq.entry t.lsq lids.(r) in
+    iv_push v (le.Lsq.seq - sc);
+    iv_push v (rrel le.Lsq.rob_idx);
+    iv_push v (b le.Lsq.is_store);
+    iv_push v (b le.Lsq.is_fp);
+    iv_push v (b le.Lsq.addr_ready);
+    iv_push v le.Lsq.width;
+    iv_push v (b le.Lsq.data_ready);
+    iv_push v (rrel le.Lsq.data_tag)
+  done;
   for k = 0 to wheel_mask do
     let sl = (t.now + k) land wheel_mask in
     let n = t.ev_n.(sl) in
     if n > 0 then begin
       iv_push v k;
       iv_push v n;
-      for j = 0 to n - 1 do
-        iv_push v t.ev_kind.(sl).(j);
-        iv_push v (t.ev_seq.(sl).(j) - sc);
-        iv_push v (rrel t.ev_rob.(sl).(j));
-        iv_push v (rrel t.ev_dtag.(sl).(j))
+      for i = sl * t.ev_cap to (sl * t.ev_cap) + n - 1 do
+        iv_push v t.ev_kind.(i);
+        iv_push v (t.ev_seq.(i) - sc);
+        iv_push v (rrel t.ev_rob.(i));
+        iv_push v (rrel t.ev_dtag.(i))
       done
     end
   done
 
 (* Monotonic counters that advance by a constant amount per period:
-   captured at each boundary; relocation adds a multiple of the verified
-   per-period delta. Field order here and in [ff_affine_restore] must
-   match. *)
-let ff_affine_vec t =
-  let loops =
-    List.sort
-      (fun a b -> compare a.ld_tail b.ld_tail)
-      (Hashtbl.fold (fun _ r acc -> r :: acc) t.loop_log [])
-  in
+   captured at each boundary into [f.ff_aff_cur]; relocation adds a
+   multiple of the verified per-period delta. Field order here and in
+   [ff_affine_restore] must match. The buffer is reused while the layout
+   (the number of logged loops) stays the same. *)
+let ff_affine_capture t f =
+  if Array.length f.ff_loops <> Hashtbl.length t.loop_log then begin
+    let a = Array.of_seq (Hashtbl.to_seq_values t.loop_log) in
+    Array.sort (fun a b -> compare a.ld_tail b.ld_tail) a;
+    f.ff_loops <- a
+  end;
   let fuc = Fu.ffwd_counters t.fu in
-  let pa = Predictor.ffwd_affine t.pred in
-  let n = 9 + List.length loops + Array.length fuc + Array.length pa in
-  let a = Array.make n 0 in
+  let nl = Array.length f.ff_loops and nf = Array.length fuc in
+  let n = 9 + nl + nf + Predictor.ffwd_affine_len t.pred in
+  if Array.length f.ff_aff_cur <> n then f.ff_aff_cur <- Array.make n 0;
+  let a = f.ff_aff_cur in
   a.(0) <- t.committed;
   a.(1) <- t.seq_ctr;
   a.(2) <- t.gated_cycles;
@@ -2015,27 +2081,27 @@ let ff_affine_vec t =
   a.(6) <- t.n_stores;
   a.(7) <- t.n_reuse_dispatch;
   a.(8) <- t.n_reuse_commit;
-  let i = ref 9 in
-  List.iter
-    (fun r ->
-      a.(!i) <- r.ld_reuse_committed;
-      incr i)
-    loops;
-  Array.iter
-    (fun x ->
-      a.(!i) <- x;
-      incr i)
-    fuc;
-  Array.iter
-    (fun x ->
-      a.(!i) <- x;
-      incr i)
-    pa;
-  a
+  for j = 0 to nl - 1 do
+    a.(9 + j) <- f.ff_loops.(j).ld_reuse_committed
+  done;
+  Array.blit fuc 0 a (9 + nl) nf;
+  Predictor.ffwd_affine t.pred a ~pos:(9 + nl + nf)
 
-let ff_affine_restore t base ~m ~d =
+let ff_affine_swap f =
+  let a = f.ff_aff_prev in
+  f.ff_aff_prev <- f.ff_aff_cur;
+  f.ff_aff_cur <- a
+
+(* Restore the counters to [m] periods past the base snapshot, using the
+   current-snapshot buffer (same layout) as scratch. *)
+let ff_affine_restore t f ~m =
+  let base = f.ff_aff_prev and d = f.ff_adiff in
   let n = Array.length base in
-  let v = Array.init n (fun i -> base.(i) + (m * d.(i))) in
+  if Array.length f.ff_aff_cur <> n then f.ff_aff_cur <- Array.make n 0;
+  let v = f.ff_aff_cur in
+  for i = 0 to n - 1 do
+    v.(i) <- base.(i) + (m * d.(i))
+  done;
   t.committed <- v.(0);
   t.seq_ctr <- v.(1);
   t.gated_cycles <- v.(2);
@@ -2045,23 +2111,16 @@ let ff_affine_restore t base ~m ~d =
   t.n_stores <- v.(6);
   t.n_reuse_dispatch <- v.(7);
   t.n_reuse_commit <- v.(8);
-  let loops =
-    List.sort
-      (fun a b -> compare a.ld_tail b.ld_tail)
-      (Hashtbl.fold (fun _ r acc -> r :: acc) t.loop_log [])
-  in
-  let i = ref 9 in
-  List.iter
-    (fun r ->
-      r.ld_reuse_committed <- v.(!i);
-      incr i)
-    loops;
+  let nl = Array.length f.ff_loops in
+  for j = 0 to nl - 1 do
+    f.ff_loops.(j).ld_reuse_committed <- v.(9 + j)
+  done;
   let nf = Array.length (Fu.ffwd_counters t.fu) in
-  Fu.ffwd_set_counters t.fu (Array.sub v !i nf);
-  i := !i + nf;
-  Predictor.ffwd_set_affine t.pred (Array.sub v !i (n - !i))
+  Fu.ffwd_set_counters t.fu (Array.sub v (9 + nl) nf);
+  Predictor.ffwd_set_affine t.pred v ~pos:(9 + nl + nf)
 
-(* (Re)start observation with the current boundary as the base state. *)
+(* (Re)start observation with the current boundary as the base state;
+   [f.ff_rigid_cur] must hold this boundary's rigid snapshot. *)
 let ff_snapshot_start t f =
   f.ff_mode <- 1;
   f.ff_periods <- 0;
@@ -2074,12 +2133,14 @@ let ff_snapshot_start t f =
   iv_clear f.ff_cur_com;
   iv_clear f.ff_cur_mem;
   iv_clear f.ff_cur_dsp;
-  f.ff_adiff <- [||];
   f.ff_mem_prev <- [||];
   f.ff_mem_stride <- [||];
-  ff_rigid_vec t f.ff_rigid_prev;
+  let r = f.ff_rigid_prev in
+  f.ff_rigid_prev <- f.ff_rigid_cur;
+  f.ff_rigid_cur <- r;
   f.ff_pred_prev <- Predictor.ffwd_version t.pred;
-  f.ff_aff_prev <- ff_affine_vec t
+  ff_affine_capture t f;
+  ff_affine_swap f
 
 (* One iteration boundary under observation: check this period against
    the base snapshot and the reference logs, and roll the observation
@@ -2088,18 +2149,28 @@ let ff_snapshot_start t f =
    becomes the reference; periods 3+ must reproduce it bitwise. *)
 let ff_verify_boundary t f =
   let p = f.ff_periods + 1 in
-  ff_rigid_vec t f.ff_rigid_cur;
+  ff_rigid_vec t f f.ff_rigid_cur;
   let pred = Predictor.ffwd_version t.pred in
-  let acur = ff_affine_vec t in
+  ff_affine_capture t f;
   let ok = ref ((not f.ff_poison) && t.rp_n = 0) in
   if !ok then
     ok := iv_equal f.ff_rigid_cur f.ff_rigid_prev && pred = f.ff_pred_prev;
   if !ok then begin
+    let acur = f.ff_aff_cur and aprev = f.ff_aff_prev in
     let na = Array.length acur in
-    if na <> Array.length f.ff_aff_prev then ok := false
+    if na <> Array.length aprev then ok := false
+    else if p = 1 then begin
+      if Array.length f.ff_adiff <> na then f.ff_adiff <- Array.make na 0;
+      for i = 0 to na - 1 do
+        f.ff_adiff.(i) <- acur.(i) - aprev.(i)
+      done
+    end
     else begin
-      let d = Array.init na (fun i -> acur.(i) - f.ff_aff_prev.(i)) in
-      if p = 1 then f.ff_adiff <- d else if d <> f.ff_adiff then ok := false
+      let i = ref 0 in
+      while !ok && !i < na do
+        if acur.(!i) - aprev.(!i) <> f.ff_adiff.(!i) then ok := false;
+        incr i
+      done
     end
   end;
   if !ok && p >= 3 then begin
@@ -2181,7 +2252,7 @@ let ff_verify_boundary t f =
     f.ff_rigid_prev <- f.ff_rigid_cur;
     f.ff_rigid_cur <- rtmp;
     f.ff_pred_prev <- pred;
-    f.ff_aff_prev <- acur;
+    ff_affine_swap f;
     f.ff_cycle_start <- t.now;
     f.ff_seq_start <- t.seq_ctr;
     f.ff_last_committed <- t.committed;
@@ -2546,42 +2617,42 @@ let ff_replay_periods t f ~nd ~dc ~cycle_limit =
     done;
     let wrot = (!m * dc) land wheel_mask in
     (if wrot <> 0 then begin
-       let rot a =
+       (* Rotate every wheel array by [wrot] slots ([w] words each). *)
+       let rot a w =
          let tmp = Array.copy a in
-         for sl = 0 to wheel_mask do
-           a.((sl + wrot) land wheel_mask) <- tmp.(sl)
-         done
+         let len = Array.length a and sh = wrot * w in
+         Array.blit tmp 0 a sh (len - sh);
+         Array.blit tmp (len - sh) a 0 sh
        in
-       rot t.ev_seq;
-       rot t.ev_rob;
-       rot t.ev_kind;
-       rot t.ev_addr;
-       rot t.ev_di;
-       rot t.ev_dtag;
-       rot t.ev_df;
-       rot t.ev_n
+       let cap = t.ev_cap in
+       rot t.ev_seq cap;
+       rot t.ev_rob cap;
+       rot t.ev_kind cap;
+       rot t.ev_addr cap;
+       rot t.ev_di cap;
+       rot t.ev_dtag cap;
+       rot t.ev_df cap;
+       rot t.ev_n 1
      end);
     for sl = 0 to wheel_mask do
-      for j = 0 to t.ev_n.(sl) - 1 do
-        let sq = t.ev_seq.(sl).(j) + dtot in
-        t.ev_seq.(sl).(j) <- sq;
-        if t.ev_kind.(sl).(j) = ev_agen then begin
+      for i = sl * t.ev_cap to (sl * t.ev_cap) + t.ev_n.(sl) - 1 do
+        let sq = t.ev_seq.(i) + dtot in
+        t.ev_seq.(i) <- sq;
+        if t.ev_kind.(i) = ev_agen then begin
           let ri = sq land rmask in
           if r_seq.(ri) = sq then begin
-            t.ev_addr.(sl).(j) <- r_addr.(ri);
-            if
-              dec.Decoded.kind.(r_wi.(ri)) = Insn.K_store
-              && t.ev_dtag.(sl).(j) < 0
+            t.ev_addr.(i) <- r_addr.(ri);
+            if dec.Decoded.kind.(r_wi.(ri)) = Insn.K_store && t.ev_dtag.(i) < 0
             then begin
-              t.ev_di.(sl).(j) <- r_sdi.(ri);
-              t.ev_df.(sl).(j) <- r_sdf.(ri)
+              t.ev_di.(i) <- r_sdi.(ri);
+              t.ev_df.(i) <- r_sdf.(ri)
             end
           end
         end
       done
     done;
     Fu.ffwd_rebase t.fu ~old_now:base_now ~new_now:t.now;
-    ff_affine_restore t f.ff_aff_prev ~m:!m ~d:f.ff_adiff;
+    ff_affine_restore t f ~m:!m;
     Array.blit carch_i 0 t.arch_i 0 32;
     Array.blit carch_f 0 t.arch_f 0 32;
     t.n_ffwd_iters <- t.n_ffwd_iters + (!m * !ipp);
@@ -2589,6 +2660,27 @@ let ff_replay_periods t f ~nd ~dc ~cycle_limit =
     f.ff_cur_work := 0;
     f.ff_fails <- 0
   end
+
+(* The replay pre-checks that every access of the next period hits the
+   DTLB and L1D, so it can reproduce only a template of hits: every
+   logged latency a hit's (the L1D hit latency for a load, 1 for a store
+   commit) and no cycle charging the L2. A load that missed in every
+   observed period (its line evicted again each period), or a store
+   whose L1D miss a commit latency of 1 hides, would replay as a hit
+   while the logged latencies and charges still carried the miss. *)
+let ff_template_hits t f =
+  let hit = (Cache.cfg (Hierarchy.l1d t.hier)).Cache.hit_latency in
+  let m = f.ff_ref_mem and a = f.ff_ref_act in
+  let ok = ref true in
+  for j = 0 to (m.ivn / 5) - 1 do
+    let kind = m.iv.(5 * j) and lat = m.iv.((5 * j) + 3) in
+    if (kind = 0 && lat <> hit) || (kind = 1 && lat <> 1) then ok := false
+  done;
+  let l2 = Component.index Component.L2 in
+  for c = 0 to (a.fvn / Component.count) - 1 do
+    if a.fv.((c * Component.count) + l2) <> 0. then ok := false
+  done;
+  !ok
 
 (* Gate on everything the replay's correctness argument needs, then
    replay. Called at a verified boundary. *)
@@ -2605,12 +2697,17 @@ let ff_try_replay t f ~cycle_limit =
     && Rob.count t.rob > 0
     && Hierarchy.quiescent_at t.hier ~now:t.now
     && t.now + dc <= cycle_limit
+    && ff_template_hits t f
   then ff_replay_periods t f ~nd ~dc ~cycle_limit
 
-(* Record the current boundary snapshot in the search ring. *)
+(* Record the current boundary snapshot in the search ring: the ring
+   slot and [ff_rigid_cur] swap buffers (the next snapshot overwrites the
+   latter anyway). *)
 let ff_search_record f pred =
   let slot = f.ff_hist_n mod ff_hist_len in
-  iv_copy_into f.ff_hist.(slot) f.ff_rigid_cur;
+  let v = f.ff_hist.(slot) in
+  f.ff_hist.(slot) <- f.ff_rigid_cur;
+  f.ff_rigid_cur <- v;
   f.ff_hist_pred.(slot) <- pred;
   f.ff_hist_n <- f.ff_hist_n + 1
 
@@ -2629,6 +2726,44 @@ let ff_search_find f pred =
   in
   go 1
 
+(* Admission gate: the current boundary becomes the base the next
+   delta is taken from. *)
+let ff_gate_base t f =
+  f.ff_b_now <- t.now;
+  f.ff_b_com <- t.committed;
+  f.ff_b_seq <- t.seq_ctr
+
+(* Fold this boundary's signature in and decide whether the gate is
+   open. The signature hashes the three deltas and the ROB/IQ/LSQ
+   occupancies (which the rigid snapshot also pins) into one word; a
+   collision can only open the gate spuriously, which costs a snapshot,
+   never a wrong replay. *)
+let ff_gate_step t f =
+  let mix h x = (h * 0x100000001b3) lxor x in
+  let s = mix (t.now - f.ff_b_now) (t.committed - f.ff_b_com) in
+  let s = mix s (t.seq_ctr - f.ff_b_seq) in
+  let s = mix (mix (mix s (Rob.count t.rob)) (Iq.count t.iq)) (Lsq.count t.lsq) in
+  ff_gate_base t f;
+  let n = f.ff_sig_n in
+  let opened = ref false in
+  for k = 1 to ff_hist_len do
+    if k <= n && f.ff_sig.((n - k) land ff_sig_mask) = s then begin
+      let r = f.ff_sig_run.(k) + 1 in
+      f.ff_sig_run.(k) <- r;
+      if r > k then opened := true
+    end
+    else f.ff_sig_run.(k) <- 0
+  done;
+  f.ff_sig.(n land ff_sig_mask) <- s;
+  f.ff_sig_n <- n + 1;
+  f.ff_gate_open <- !opened
+
+(* Enter search mode with an empty snapshot ring. *)
+let ff_search_start f =
+  f.ff_mode <- 4;
+  f.ff_hist_n <- 0;
+  f.ff_snaps <- 0
+
 let ff_loop_key t =
   (t.reuse.Reuse_state.head lsl 25) lxor t.reuse.Reuse_state.tail
 
@@ -2640,6 +2775,22 @@ let ff_work_budget = 512
 let ff_go_dormant f =
   f.ff_mode <- 3;
   f.ff_cur_work := ff_work_budget + 1
+
+(* Search mode at a boundary the gate admits: snapshot, and either lock
+   onto the period found or remember the snapshot. *)
+let ff_search_boundary t f =
+  incr f.ff_cur_work;
+  f.ff_snaps <- f.ff_snaps + 1;
+  ff_rigid_vec t f f.ff_rigid_cur;
+  let pred = Predictor.ffwd_version t.pred in
+  match ff_search_find f pred with
+  | 0 ->
+      ff_search_record f pred;
+      if f.ff_snaps > ff_search_budget then ff_go_dormant f
+  | k ->
+      f.ff_super <- k;
+      f.ff_bcount <- 0;
+      ff_snapshot_start t f
 
 let ff_on_boundary t f ~cycle_limit =
   match f.ff_mode with
@@ -2656,27 +2807,20 @@ let ff_on_boundary t f ~cycle_limit =
       f.ff_cur_work <- cell;
       if !cell > ff_work_budget then f.ff_mode <- 3
       else begin
-        (* First boundary of the episode: seed the period search. *)
-        incr cell;
-        ff_rigid_vec t f.ff_rigid_cur;
-        f.ff_hist_n <- 0;
-        ff_search_record f (Predictor.ffwd_version t.pred);
-        f.ff_mode <- 4
+        (* First boundary of the episode: an empty signature history,
+           based here. *)
+        f.ff_sig_n <- 0;
+        f.ff_gate_open <- false;
+        ff_gate_base t f;
+        ff_search_start f
       end
   | 4 when !(f.ff_cur_work) > ff_work_budget -> ff_go_dormant f
-  | 4 -> (
-      incr f.ff_cur_work;
-      ff_rigid_vec t f.ff_rigid_cur;
-      let pred = Predictor.ffwd_version t.pred in
-      match ff_search_find f pred with
-      | 0 ->
-          ff_search_record f pred;
-          if f.ff_hist_n > ff_search_budget then ff_go_dormant f
-      | k ->
-          f.ff_super <- k;
-          f.ff_bcount <- 0;
-          ff_snapshot_start t f)
+  | 4 ->
+      ff_gate_step t f;
+      (* The ring must hold consecutive boundaries: a shut gate empties it. *)
+      if f.ff_gate_open then ff_search_boundary t f else f.ff_hist_n <- 0
   | 1 ->
+      ff_gate_step t f;
       f.ff_bcount <- f.ff_bcount + 1;
       if f.ff_bcount >= f.ff_super then begin
         f.ff_bcount <- 0;
@@ -2686,8 +2830,11 @@ let ff_on_boundary t f ~cycle_limit =
             ff_try_replay t f ~cycle_limit;
             (* Whether the replay advanced or stopped immediately, the
                machine sits at a super-boundary: restart observation
-               from it. *)
+               from it. A replay jumps the clock, so the gate's next
+               delta is taken from here. *)
+            ff_gate_base t f;
             f.ff_bcount <- 0;
+            ff_rigid_vec t f f.ff_rigid_cur;
             ff_snapshot_start t f
           end
         end
@@ -2695,10 +2842,11 @@ let ff_on_boundary t f ~cycle_limit =
           f.ff_fails <- f.ff_fails + 1;
           if f.ff_fails >= ff_max_fails then ff_go_dormant f
           else begin
-            (* Restart the period search, seeded with this boundary. *)
-            f.ff_hist_n <- 0;
-            ff_search_record f (Predictor.ffwd_version t.pred);
-            f.ff_mode <- 4
+            (* Restart the period search, seeded with this boundary's
+               snapshot when the gate admits it. *)
+            ff_search_start f;
+            if f.ff_gate_open then
+              ff_search_record f (Predictor.ffwd_version t.pred)
           end
         end
       end

@@ -18,11 +18,17 @@ let config ~name ~sets ~ways ~line_bytes ~hit_latency =
 
 let size_bytes c = c.sets * c.ways * c.line_bytes
 
-type line = { mutable tag : int; mutable valid : bool; mutable dirty : bool; mutable lru : int }
+(* The tag store is one flat [int array], two words per line, row-major
+   by set: the tag, then a packed word [lru lsl 2 lor dirty lsl 1 lor
+   valid]. A set's ways sit side by side, so a lookup walks adjacent
+   words and [create] is a single [Array.make]. *)
+let valid_bit = 1
+let dirty_bit = 2
+let lru_shift = 2
 
 type t = {
   config : config;
-  lines : line array; (* sets * ways, row-major by set *)
+  lines : int array; (* 2 * sets * ways *)
   (* Shift/mask forms of the (power-of-two) geometry: integer division by
      a runtime divisor is ~25 cycles on this core; a shift is one. *)
   line_shift : int;
@@ -36,11 +42,13 @@ type t = {
 
 type result = Hit | Miss of { dirty_evict : bool }
 
+let miss_clean = Miss { dirty_evict = false }
+let miss_dirty = Miss { dirty_evict = true }
+
 let create config =
-  let n = config.sets * config.ways in
   {
     config;
-    lines = Array.init n (fun _ -> { tag = 0; valid = false; dirty = false; lru = 0 });
+    lines = Array.make (2 * config.sets * config.ways) 0;
     line_shift = Bits.log2 config.line_bytes;
     set_mask = config.sets - 1;
     set_shift = Bits.log2 config.sets;
@@ -60,70 +68,71 @@ let line_index t ~addr =
 let tag_of t line_idx =
   if line_idx >= 0 then line_idx lsr t.set_shift else line_idx / t.config.sets
 
-let set_and_tag t addr =
+(* Word offset of the matching line's tag in [t.lines], or -1. Tags are
+   unique within a set, so the first match is the match. *)
+let find t ~addr =
   let line_idx = line_index t ~addr in
-  (line_idx land t.set_mask, tag_of t line_idx)
+  let tag = tag_of t line_idx in
+  let lines = t.lines in
+  let base = 2 * (line_idx land t.set_mask) * t.config.ways in
+  let stop = base + (2 * t.config.ways) in
+  let i = ref base in
+  while
+    !i < stop
+    && not
+         (Array.unsafe_get lines (!i + 1) land valid_bit <> 0
+         && Array.unsafe_get lines !i = tag)
+  do
+    i := !i + 2
+  done;
+  if !i < stop then !i else -1
 
 let access t ~addr ~write =
   t.n_access <- t.n_access + 1;
   t.clock <- t.clock + 1;
-  let line_idx = line_index t ~addr in
-  let set = line_idx land t.set_mask in
-  let tag = tag_of t line_idx in
-  let ways = t.config.ways in
-  let base = set * ways in
-  (* Imperative scans: local refs compile to stack mutables, so a hit
-     allocates nothing. Tags are unique within a set, so the first match
-     is the match. *)
-  let hit = ref (-1) in
-  let w = ref 0 in
-  while !hit < 0 && !w < ways do
-    let line = Array.unsafe_get t.lines (base + !w) in
-    if line.valid && line.tag = tag then hit := base + !w else incr w
-  done;
-  if !hit >= 0 then begin
-    let line = t.lines.(!hit) in
+  let lines = t.lines in
+  let stamp = t.clock lsl lru_shift in
+  let hit = find t ~addr in
+  if hit >= 0 then begin
     t.n_hit <- t.n_hit + 1;
-    line.lru <- t.clock;
-    if write then line.dirty <- true;
+    let m = lines.(hit + 1) in
+    lines.(hit + 1) <-
+      stamp lor (m land dirty_bit) lor (if write then dirty_bit else 0) lor valid_bit;
     Hit
   end
   else begin
-    (* Choose the eviction victim: an invalid way if any, else true LRU. *)
-    let v = ref t.lines.(base) in
-    for w = 1 to ways - 1 do
-      let line = Array.unsafe_get t.lines (base + w) in
-      let cur = !v in
-      if (not line.valid) && cur.valid then v := line
-      else if (not cur.valid) || not line.valid then ()
-      else if line.lru < cur.lru then v := line
+    let line_idx = line_index t ~addr in
+    let base = 2 * (line_idx land t.set_mask) * t.config.ways in
+    (* Choose the eviction victim: the first invalid way if any, else
+       true LRU. The stamp fills the high bits and valid stamps are
+       distinct, so comparing packed words orders by stamp. *)
+    let v = ref base in
+    let vm = ref lines.(base + 1) in
+    let w = ref 1 in
+    while !vm land valid_bit <> 0 && !w < t.config.ways do
+      let i = base + (2 * !w) in
+      let m = Array.unsafe_get lines (i + 1) in
+      if m land valid_bit = 0 || m < !vm then begin
+        v := i;
+        vm := m
+      end;
+      incr w
     done;
-    let v = !v in
-    let dirty_evict = v.valid && v.dirty in
+    let vm = !vm in
+    let dirty_evict = vm land (valid_bit lor dirty_bit) = valid_bit lor dirty_bit in
     if dirty_evict then t.n_dirty_evict <- t.n_dirty_evict + 1;
-    v.tag <- tag;
-    v.valid <- true;
-    v.dirty <- write;
-    v.lru <- t.clock;
-    Miss { dirty_evict }
+    lines.(!v) <- tag_of t line_idx;
+    lines.(!v + 1) <- stamp lor (if write then dirty_bit else 0) lor valid_bit;
+    if dirty_evict then miss_dirty else miss_clean
   end
 
-let probe t ~addr =
-  let set, tag = set_and_tag t addr in
-  let base = set * t.config.ways in
-  let found = ref false in
-  for w = 0 to t.config.ways - 1 do
-    let line = t.lines.(base + w) in
-    if line.valid && line.tag = tag then found := true
-  done;
-  !found
+let probe t ~addr = find t ~addr >= 0
 
 let flush t =
-  Array.iter
-    (fun line ->
-      line.valid <- false;
-      line.dirty <- false)
-    t.lines
+  for i = 0 to (Array.length t.lines / 2) - 1 do
+    let j = (2 * i) + 1 in
+    t.lines.(j) <- t.lines.(j) land lnot (valid_bit lor dirty_bit)
+  done
 
 let accesses t = t.n_access
 let hits t = t.n_hit

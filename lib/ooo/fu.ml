@@ -56,16 +56,14 @@ let issued_of t cls = match pool_of t cls with None -> 0 | Some pool -> pool.n_i
 
 let pools t = [| t.ialu; t.imult; t.fpalu; t.fpmult; t.mem |]
 
-let ffwd_busy_rel t ~now =
-  let out = ref [] in
+let ffwd_iter_busy_rel t ~now f =
   let ps = pools t in
-  for p = Array.length ps - 1 downto 0 do
+  for p = 0 to Array.length ps - 1 do
     let b = ps.(p).busy_until in
-    for i = Array.length b - 1 downto 0 do
-      out := (if b.(i) > now then b.(i) - now else 0) :: !out
+    for i = 0 to Array.length b - 1 do
+      f (if b.(i) > now then b.(i) - now else 0)
     done
-  done;
-  !out
+  done
 
 let ffwd_rebase t ~old_now ~new_now =
   let ps = pools t in

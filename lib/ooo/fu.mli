@@ -26,8 +26,9 @@ val issued_of : t -> Insn.fu_class -> int
     to the current cycle, compare across iteration boundaries, and
     relocate it after an analytic time jump. *)
 
-val ffwd_busy_rel : t -> now:int -> int list
-(** Per-unit [max (busy_until - now) 0], in a fixed pool order. *)
+val ffwd_iter_busy_rel : t -> now:int -> (int -> unit) -> unit
+(** Apply the function to each unit's [max (busy_until - now) 0], in a
+    fixed pool order. *)
 
 val ffwd_rebase : t -> old_now:int -> new_now:int -> unit
 (** Translate every unit's [busy_until] from [old_now]-relative to

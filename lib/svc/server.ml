@@ -410,9 +410,12 @@ let next_fingerprint t =
   end
 
 (* Span args carry the fingerprint (and the submitting client's trace id
-   when it sent one) so merged traces can be joined back to jobs. *)
-let span_args p =
-  ("fp", Tracer.Str (String.sub (Job.fingerprint p.p_job) 0 12))
+   when it sent one) so merged traces can be joined back to jobs. [fp] is
+   the pending table's key: recomputing it here would hash the whole job
+   again on every span, even under the null tracer, since the args are
+   built before [Tracer.complete] looks at the sink. *)
+let span_args fp p =
+  ("fp", Tracer.Str (String.sub fp 0 12))
   ::
   (match p.p_trace with
   | None -> []
@@ -433,7 +436,7 @@ let dispatch_one t w fp =
       in
       Metrics.observe wait_hist wait;
       Tracer.complete t.tracer ~now:(us p.p_enqueued) ~dur:(us wait) ~tid
-        ~args:(span_args p) ~cat:"serve" "queue-wait";
+        ~args:(span_args fp p) ~cat:"serve" "queue-wait";
       try write_frame w.w_req (Marshal.to_bytes p.p_job [])
       with _ ->
         (* Worker died between jobs: retry via the crash path. *)
@@ -511,7 +514,7 @@ let worker_result t w =
           (match Hashtbl.find_opt t.pending fp with
           | Some p ->
               Tracer.complete t.tracer ~now:(us w.w_started) ~dur:(us seconds)
-                ~pid:w.w_pid ~args:(span_args p) ~cat:"serve" "simulate"
+                ~pid:w.w_pid ~args:(span_args fp p) ~cat:"serve" "simulate"
           | None -> ());
           resolve_pending t fp ~seconds outcome);
       w.w_fp <- None

@@ -48,6 +48,104 @@ let test_btb_eviction () =
   Alcotest.(check (option int)) "evicted" None (Btb.lookup b ~pc:0x4);
   Alcotest.(check (option int)) "new" (Some 3) (Btb.lookup b ~pc:0x8)
 
+(* Step-by-step differential check of the flat BTB against a
+   record-per-entry reference model, including the fast-forward snapshot
+   round trip: at random points the affine block is read, its clock and
+   LRU stamps relocated by a constant (as a replay does), written back,
+   and the model relocated alike — both must then keep agreeing on every
+   target, hit count and victim. *)
+type ref_entry = {
+  mutable e_valid : bool;
+  mutable e_tag : int;
+  mutable e_target : int;
+  mutable e_lru : int;
+}
+
+let test_btb_vs_record_model () =
+  List.iter
+    (fun (sets, ways) ->
+      for seed = 0 to 4 do
+        let rng = Random.State.make [| seed; sets; ways |] in
+        let b = Btb.create ~sets ~ways in
+        let tbl =
+          Array.init (sets * ways) (fun _ ->
+              { e_valid = false; e_tag = 0; e_target = 0; e_lru = 0 })
+        in
+        let clock = ref 0 and hits = ref 0 and version = ref 0 in
+        let find pc =
+          let idx = pc lsr 2 in
+          let base = (idx land (sets - 1)) * ways and tag = idx / sets in
+          let hit = ref None in
+          for w = 0 to ways - 1 do
+            let e = tbl.(base + w) in
+            if e.e_valid && e.e_tag = tag then hit := Some e
+          done;
+          (base, tag, !hit)
+        in
+        let span = 4 * sets * ways in
+        for step = 1 to 2000 do
+          (* Word-aligned pcs around zero; [lsr] maps negative ones to
+             large positive indices, as the hardware index would. *)
+          let pc = 4 * (Random.State.int rng (2 * span) - span) in
+          let name = Printf.sprintf "%dx%d seed %d step %d pc %d" sets ways seed step pc in
+          incr clock;
+          if Random.State.bool rng then begin
+            let want =
+              match find pc with
+              | _, _, Some e ->
+                  incr hits;
+                  e.e_lru <- !clock;
+                  e.e_target
+              | _ -> -1
+            in
+            Alcotest.(check int) (name ^ ": lookup") want (Btb.lookup_target b ~pc)
+          end
+          else begin
+            let target = 4 * Random.State.int rng 8 in
+            (match find pc with
+            | _, _, Some e ->
+                if e.e_target <> target then incr version;
+                e.e_target <- target;
+                e.e_lru <- !clock
+            | base, tag, None ->
+                let v = ref tbl.(base) in
+                for w = 1 to ways - 1 do
+                  let e = tbl.(base + w) in
+                  if (not e.e_valid) && !v.e_valid then v := e
+                  else if e.e_valid && !v.e_valid && e.e_lru < !v.e_lru then v := e
+                done;
+                !v.e_valid <- true;
+                !v.e_tag <- tag;
+                !v.e_target <- target;
+                !v.e_lru <- !clock;
+                incr version);
+            Btb.update b ~pc ~target
+          end;
+          Alcotest.(check int) (name ^ ": version") !version (Btb.version b);
+          if step mod 97 = 0 then begin
+            let pos = Random.State.int rng 5 in
+            let n = Btb.ffwd_affine_len b in
+            let a = Array.make (pos + n) 0 in
+            Btb.ffwd_affine b a ~pos;
+            Alcotest.(check int) (name ^ ": affine clock") !clock a.(pos);
+            Alcotest.(check int) (name ^ ": affine hits") !hits a.(pos + 2);
+            let shift = 1000 in
+            a.(pos) <- a.(pos) + shift;
+            for i = pos + 4 to pos + n - 1 do
+              a.(i) <- a.(i) + shift
+            done;
+            Btb.ffwd_set_affine b a ~pos;
+            let back = Array.make (pos + n) 0 in
+            Btb.ffwd_affine b back ~pos;
+            Alcotest.(check (array int)) (name ^ ": affine round trip") a back;
+            clock := !clock + shift;
+            Array.iter (fun e -> e.e_lru <- e.e_lru + shift) tbl
+          end
+        done;
+        Alcotest.(check int) "hits" !hits (Btb.hits b)
+      done)
+    [ (1, 1); (1, 4); (2, 2); (4, 3); (16, 4) ]
+
 (* ---- Ras ---- *)
 
 let test_ras_stack () =
@@ -184,6 +282,8 @@ let suites =
         Alcotest.test_case "bimod aliasing" `Quick test_bimod_aliasing;
         Alcotest.test_case "btb basic" `Quick test_btb_basic;
         Alcotest.test_case "btb eviction" `Quick test_btb_eviction;
+        Alcotest.test_case "flat btb = record model, with ffwd round trip" `Quick
+          test_btb_vs_record_model;
         Alcotest.test_case "ras stack" `Quick test_ras_stack;
         Alcotest.test_case "ras overflow" `Quick test_ras_overflow;
         Alcotest.test_case "ras checkpoint" `Quick test_ras_checkpoint;

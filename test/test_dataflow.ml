@@ -338,6 +338,132 @@ let test_kernel_revoke_causes () =
         (Processor.loop_decisions p))
     Workloads.all
 
+(* ---- the fast lattice operations agree with their definitions ---- *)
+
+(* Seeded random value-range facts. Small bounds make pointwise order
+   common, so the [join] shortcut (returning its right operand) is taken
+   as often as the allocating path. Ranges are never degenerate, as
+   [Valrange] builds them. *)
+let random_value rng =
+  match Random.State.int rng 5 with
+  | 0 -> Valrange.Bot
+  | 1 -> Valrange.Top
+  | 2 -> Valrange.Const (Random.State.int rng 7 - 3)
+  | _ ->
+      let lo = Random.State.int rng 7 - 3 in
+      Valrange.Range (lo, lo + 1 + Random.State.int rng 4)
+
+let random_fact rng =
+  if Random.State.int rng 8 = 0 then Valrange.L.bottom
+  else Array.init Reg.count (fun _ -> random_value rng)
+
+let expand f = if Array.length f = 0 then Array.make Reg.count Valrange.Bot else f
+
+let test_valrange_lattice_pointwise () =
+  let rng = Random.State.make [| 2004 |] in
+  let shortcuts = ref 0 in
+  for i = 1 to 5000 do
+    let a = random_fact rng in
+    (* Half the time, [b] is built above [a] so the shortcut applies. *)
+    let b =
+      if Random.State.bool rng then
+        Array.map (fun v -> Valrange.join_value v (random_value rng)) (expand a)
+      else random_fact rng
+    in
+    let a0 = Array.copy a and b0 = Array.copy b in
+    let j = Valrange.L.join a b in
+    let name = Printf.sprintf "pair %d" i in
+    let want = Array.map2 Valrange.join_value (expand a) (expand b) in
+    if expand j <> want then Alcotest.failf "%s: join differs from the pointwise join" name;
+    if j == b then incr shortcuts;
+    if a <> a0 || b <> b0 then Alcotest.failf "%s: join mutated an operand" name;
+    let pointwise_equal x y =
+      (Array.length x = 0) = (Array.length y = 0) && expand x = expand y
+    in
+    Alcotest.(check bool) (name ^ ": equal a b") (pointwise_equal a b) (Valrange.L.equal a b);
+    Alcotest.(check bool) (name ^ ": equal j want") true (Valrange.L.equal (expand j) want);
+    let c = Array.copy (expand b) in
+    Alcotest.(check bool) (name ^ ": equal to a copy") true (Valrange.L.equal (expand b) c);
+    (* Near misses: one register changed. *)
+    c.(Random.State.int rng Reg.count) <- random_value rng;
+    Alcotest.(check bool)
+      (name ^ ": equal to a near copy")
+      (expand b = c)
+      (Valrange.L.equal (expand b) c)
+  done;
+  Alcotest.(check bool) "join shortcut taken" true (!shortcuts > 1000)
+
+let test_reaching_lattice_pointwise () =
+  let rng = Random.State.make [| 2005 |] in
+  let set () =
+    Reaching.IS.of_list (List.init (Random.State.int rng 12) (fun _ -> Random.State.int rng 16))
+  in
+  for i = 1 to 5000 do
+    let a = set () in
+    let b = if Random.State.bool rng then Reaching.IS.union a (set ()) else set () in
+    let j = Reaching.L.join a b in
+    let name = Printf.sprintf "pair %d" i in
+    Alcotest.(check (list int))
+      (name ^ ": join is union")
+      (Reaching.IS.elements (Reaching.IS.union a b))
+      (Reaching.IS.elements j);
+    if Reaching.IS.subset a b && j != b then
+      Alcotest.failf "%s: subset join must return its right operand" name;
+    Alcotest.(check bool)
+      (name ^ ": equal")
+      (Reaching.IS.elements a = Reaching.IS.elements b)
+      (Reaching.L.equal a b)
+  done
+
+(* Joins now share arrays between blocks, so a client that mutated a
+   fact in place would corrupt other blocks' facts. Solve, snapshot every
+   fact, exercise every query, and require the facts unchanged — and
+   require some sharing, so the check is not vacuous. *)
+let test_valrange_facts_not_mutated () =
+  let shared = ref 0 in
+  let programs =
+    List.map Workloads.program Workloads.all
+    @ List.filter_map
+        (fun i ->
+          match
+            Riq_fuzz.Prog.to_program
+              (Riq_fuzz.Gen.program ~seed:(Riq_fuzz.Gen.derive_seed 99 i) ())
+          with
+          | Ok p -> Some p
+          | Error _ -> None)
+        (List.init 20 Fun.id)
+  in
+  List.iteri
+    (fun k p ->
+      let cfg = Cfg.build p in
+      let v = Valrange.analyze cfg in
+      let input, output = Valrange.facts v in
+      let all = Array.append input output in
+      Array.iteri
+        (fun i f -> Array.iteri (fun j g -> if i < j && f == g then incr shared) all)
+        all;
+      let before = Array.map Array.copy all in
+      Array.iter
+        (fun b ->
+          List.iter
+            (fun (pc, _) ->
+              for r = 0 to Reg.count - 1 do
+                ignore (Valrange.value_at v ~pc r)
+              done)
+            (Cfg.insns cfg b);
+          for r = 0 to Reg.count - 1 do
+            ignore (Valrange.value_into v ~block:b.Cfg.b_id ~from:b.Cfg.b_preds r)
+          done)
+        cfg.Cfg.blocks;
+      ignore (Bufferability.analyze ~iq_size:64 p);
+      Array.iteri
+        (fun i f ->
+          if f <> before.(i) then
+            Alcotest.failf "program %d: fact %d mutated by a query" k i)
+        all)
+    programs;
+  Alcotest.(check bool) "solved facts share arrays" true (!shared > 0)
+
 let suites =
   [
     ( "dataflow.solver",
@@ -356,6 +482,15 @@ let suites =
       ] );
     ( "dataflow.reaching",
       [ Alcotest.test_case "kills and initial defs" `Quick test_reaching_defs ] );
+    ( "dataflow.lattice",
+      [
+        Alcotest.test_case "value-range join/equal = pointwise" `Quick
+          test_valrange_lattice_pointwise;
+        Alcotest.test_case "reaching join/equal = set union/equality" `Quick
+          test_reaching_lattice_pointwise;
+        Alcotest.test_case "no client mutates a shared fact" `Quick
+          test_valrange_facts_not_mutated;
+      ] );
     ( "dataflow.alias",
       [
         Alcotest.test_case "disjoint arrays proven" `Quick test_alias_disjoint_arrays;

@@ -181,6 +181,99 @@ let prop_cache_vs_model =
           hw = m addr)
         addrs)
 
+(* Step-by-step differential check of the flat tag store against a
+   record-per-line reference model: hit/miss, dirty evictions, the LRU
+   victim and the preference for an invalid way. After every access the
+   model's whole set must probe identically (every resident line present,
+   the evicted line gone), so a wrong victim shows at the step that
+   chose it. Streams draw from a small window of addresses straddling
+   zero, so negative addresses (the toward-zero division fallback) hit
+   and conflict with positive ones. *)
+type ref_line = {
+  mutable r_valid : bool;
+  mutable r_dirty : bool;
+  mutable r_tag : int;
+  mutable r_lru : int;
+  mutable r_addr : int; (* an address inside the resident line *)
+}
+
+let ref_access ~sets ~ways ~line lines clock ~addr ~write =
+  let lineno = addr / line in
+  (* [land] keeps the set non-negative; [/] truncates toward zero, as the
+     cache's fallback does. *)
+  let set = lineno land (sets - 1) and tag = lineno / sets in
+  let base = set * ways in
+  let hit = ref None in
+  for w = 0 to ways - 1 do
+    let l = lines.(base + w) in
+    if l.r_valid && l.r_tag = tag then hit := Some l
+  done;
+  match !hit with
+  | Some l ->
+      l.r_lru <- clock;
+      if write then l.r_dirty <- true;
+      (`Hit, None)
+  | None ->
+      let v = ref lines.(base) in
+      for w = 1 to ways - 1 do
+        let l = lines.(base + w) in
+        if (not l.r_valid) && !v.r_valid then v := l
+        else if l.r_valid && !v.r_valid && l.r_lru < !v.r_lru then v := l
+      done;
+      let v = !v in
+      let evicted = if v.r_valid then Some v.r_addr else None in
+      let dirty = v.r_valid && v.r_dirty in
+      v.r_valid <- true;
+      v.r_dirty <- write;
+      v.r_tag <- tag;
+      v.r_lru <- clock;
+      v.r_addr <- addr;
+      (`Miss dirty, evicted)
+
+let test_cache_vs_record_model () =
+  let geometries = [ (1, 1, 8); (1, 4, 8); (2, 2, 16); (4, 3, 8); (8, 4, 32) ] in
+  List.iter
+    (fun (sets, ways, line) ->
+      for seed = 0 to 4 do
+        let rng = Random.State.make [| seed; sets; ways |] in
+        let c = mk ~sets ~ways ~line () in
+        let lines =
+          Array.init (sets * ways) (fun _ ->
+              { r_valid = false; r_dirty = false; r_tag = 0; r_lru = 0; r_addr = 0 })
+        in
+        let span = 3 * sets * ways * line in
+        let dirty = ref 0 in
+        for step = 1 to 2000 do
+          let addr = Random.State.int rng (2 * span) - span in
+          let write = Random.State.int rng 3 = 0 in
+          let name = Printf.sprintf "%dx%dx%d seed %d step %d addr %d" sets ways line seed step addr in
+          let want, evicted = ref_access ~sets ~ways ~line lines step ~addr ~write in
+          let got =
+            match Cache.access c ~addr ~write with
+            | Cache.Hit -> `Hit
+            | Cache.Miss { dirty_evict } -> `Miss dirty_evict
+          in
+          if got <> want then Alcotest.failf "%s: hit/miss or dirty eviction differs" name;
+          (match want with `Miss true -> incr dirty | `Miss false | `Hit -> ());
+          Option.iter
+            (fun a ->
+              if Cache.probe c ~addr:a then Alcotest.failf "%s: wrong victim (%d kept)" name a)
+            evicted;
+          Array.iter
+            (fun l ->
+              if l.r_valid && not (Cache.probe c ~addr:l.r_addr) then
+                Alcotest.failf "%s: resident line %d missing" name l.r_addr)
+            lines;
+          if step = 1000 then begin
+            Cache.flush c;
+            Array.iter (fun l -> l.r_valid <- false; l.r_dirty <- false) lines
+          end
+        done;
+        Alcotest.(check int) "accesses" 2000 (Cache.accesses c);
+        Alcotest.(check int) "dirty evictions" !dirty (Cache.dirty_evictions c)
+      done)
+    geometries
+
 (* ---- Hierarchy ---- *)
 
 let test_hierarchy_latencies () =
@@ -246,6 +339,8 @@ let suites =
         Alcotest.test_case "hierarchy pending fill" `Quick test_hierarchy_pending_fill;
         Alcotest.test_case "hierarchy counters" `Quick test_hierarchy_counters;
         QCheck_alcotest.to_alcotest prop_cache_vs_model;
+        Alcotest.test_case "flat cache = record model, step by step" `Quick
+          test_cache_vs_record_model;
       ] );
   ]
 

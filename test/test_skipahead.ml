@@ -198,6 +198,66 @@ let test_single_flags () =
         ])
     Workloads.all
 
+(* Pool programs of the benchmark (seed 2004) whose loops verified a
+   steady-state template the replay cannot reproduce, because the
+   replay makes every access hit: a load that missed the L1D in every
+   observed period (1753, default config) and periods that charged the
+   L2 (796, big-iq config). Fast-forward must decline to replay them. *)
+let test_replay_declines_miss_templates () =
+  List.iter
+    (fun (config, j) ->
+      let cfg, params =
+        match Driver.config config with Ok c -> c | Error e -> Alcotest.fail e
+      in
+      match Prog.to_program (Gen.program ~params ~seed:(Gen.derive_seed 2004 j) ()) with
+      | Error e -> Alcotest.fail e
+      | Ok program -> ignore (run_pair (Printf.sprintf "pool %d/%s" j config) program cfg))
+    [ ("default", 1753); ("big-iq", 796) ]
+
+(* ---- exact cost counters ---- *)
+
+(* Minor-heap words allocated by the reuse-on leg (create and run, fast
+   paths on) per committed instruction, over the first corpus programs.
+   Short programs make the fixed set-up cost visible: flat machine tables
+   and a lazily filled fast-forward controller measured 16.4 here, the
+   per-line record tables before them 56.9, and eagerly allocated
+   controller vectors alone 19.6. The bound leaves ~10% headroom for
+   compiler-version drift. *)
+let minor_words_bound = 18.
+
+let test_minor_words_per_insn () =
+  let words = ref 0. and insns = ref 0 in
+  List.iteri
+    (fun i (_, program) ->
+      if i < 8 then begin
+        let w0 = Gc.minor_words () in
+        let p = Processor.create (fast_on Config.reuse) program in
+        ignore (Processor.run p);
+        words := !words +. (Gc.minor_words () -. w0);
+        insns := !insns + (Processor.stats p).Processor.committed
+      end)
+    (Lazy.force corpus);
+  let per_insn = !words /. float_of_int !insns in
+  if per_insn > minor_words_bound then
+    Alcotest.failf "reuse-on leg allocates %.2f minor words per instruction (bound %.1f)"
+      per_insn minor_words_bound
+
+(* The fast-forward admission gate must not starve the loops where
+   fast-forward pays: the aps, wss and tsf reuse cells of the paper's
+   sweep. *)
+let test_ffwd_fires_on_steady_kernels () =
+  List.iter
+    (fun name ->
+      let program = Workloads.program (Workloads.find name) in
+      List.iter
+        (fun iq ->
+          let p = Processor.create (fast_on (Config.with_iq_size Config.reuse iq)) program in
+          ignore (Processor.run p);
+          let it = (Processor.stats p).Processor.ffwd_iterations in
+          if it <= 0 then Alcotest.failf "%s/IQ%d: loop fast-forward never fired" name iq)
+        [ 32; 64 ])
+    [ "aps"; "wss"; "tsf" ]
+
 let suites =
   [
     ( "skipahead.differential",
@@ -210,5 +270,14 @@ let suites =
           test_small_iq;
         Alcotest.test_case "single-flag kernels: each path alone" `Slow
           test_single_flags;
+        Alcotest.test_case "replay declines templates with misses" `Quick
+          test_replay_declines_miss_templates;
+      ] );
+    ( "skipahead.cost",
+      [
+        Alcotest.test_case "minor words per instruction, reuse-on leg" `Quick
+          test_minor_words_per_insn;
+        Alcotest.test_case "fast-forward fires on aps/wss/tsf at IQ 32, 64" `Quick
+          test_ffwd_fires_on_steady_kernels;
       ] );
   ]
